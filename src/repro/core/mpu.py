@@ -68,7 +68,8 @@ Two serving-oriented extensions sit on top (used by :mod:`repro.serve`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import time
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -469,11 +470,17 @@ class MatrixProcessingUnit:
             return self._gemm_impl(weights, activations, accumulate_dtype,
                                    shard, executor)
         w = weights.weights if isinstance(weights, PreparedWeights) else weights
-        with tel.trace.span("mpu.gemm", m=w.shape[0], n=w.shape[1],
-                            executor=executor, sharded=shard is not None,
-                            prepared=w is not weights):
+        start = time.perf_counter_ns()
+        try:
             return self._gemm_impl(weights, activations, accumulate_dtype,
                                    shard, executor)
+        finally:
+            # Explicit stamps rather than a span context manager: one GEMM
+            # per span, so the handle allocation is worth saving.
+            tel.trace.record("mpu.gemm", start, time.perf_counter_ns(),
+                             m=w.shape[0], n=w.shape[1], executor=executor,
+                             sharded=shard is not None,
+                             prepared=w is not weights)
 
     def _gemm_impl(self, weights: BCQTensor | PreparedWeights,
                    activations: np.ndarray,

@@ -65,7 +65,14 @@ working_set_bytes`) at a compile-time ``batch_hint``:
     bitwise) and is never chosen by ``tier="auto"`` — only for engines
     whose contract is ``allclose``.  The one audited
     ``# repro: noqa reassociating-reduction`` suppression in
-    :meth:`CompiledProgram.execute` marks it.
+    :meth:`CompiledProgram.execute_numpy` marks it.
+
+Native executor
+---------------
+:meth:`CompiledProgram.execute` runs a float64 fused or blocked program
+through one C call (:mod:`repro.core.native`) over these same buffers,
+replaying the float order below; :meth:`CompiledProgram.execute_numpy` —
+the instruction-list walk — is its fallback and pinned oracle.
 
 Bit-exactness contract
 ----------------------
@@ -113,6 +120,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from repro.core import native
 from repro.core.dataflow import PlanShard, TileExecutionPlan
 from repro.core.lut import build_lut_tables
 from repro.core.mpu import (
@@ -263,10 +271,68 @@ class CompiledProgram:
         Bit-identical to the interpreted executor on the same plan (and to
         ``gemm_reference``): same LUT entries, same accumulator dtype
         footprint, same float addition order per output element.
+
+        A float64 fused or blocked program runs on the native executor
+        (:mod:`repro.core.native`, one C call) when its library builds;
+        otherwise — no compiler, a failed build, an fp16/fp32 accumulator,
+        or the relaxed tier — it runs on :meth:`execute_numpy`, the NumPy
+        executor and the native executor's pinned oracle.
         """
         x, squeeze = _normalize_activations(activations, self.n)
         batch = x.shape[1]
         acc_dtype = np.dtype(accumulate_dtype)
+        y = None
+        if self.tier != "relaxed" and batch and native.available(acc_dtype):
+            y = self._execute_native(x)
+        if y is None:
+            y = self.execute_numpy(x, acc_dtype)
+        stats = self.stats(batch)
+        if squeeze:
+            return y[:, 0], stats
+        return y, stats
+
+    def _group_sum(self, x: np.ndarray, k: int) -> np.ndarray:
+        """Owned group ``k``'s activation sum, ``(1, batch)``.
+
+        Same reduction call as ``_add_offset_terms``: the one shared
+        group-sum op of every executor, native included (NumPy's summation
+        order depends on the activation layout, so it is not replayed in C).
+        """
+        start, stop = self.offset_slices[k]
+        return x[start:stop, :].sum(axis=0, keepdims=True)  # repro: noqa reassociating-reduction
+
+    def _execute_native(self, x: np.ndarray) -> np.ndarray | None:
+        """``y`` from the native executor, or None if the call failed."""
+        tel = get_telemetry()
+        profiling = tel.enabled and tel.profiling
+        if profiling:
+            t0 = time.perf_counter_ns()
+        if self.offset_slices:
+            group_sums = np.concatenate(
+                [self._group_sum(x, k) for k in range(len(self.offset_slices))])
+        else:
+            group_sums = np.zeros((0, x.shape[1]))
+        if not profiling:
+            return native.run(self, x, group_sums)
+        # The kernel adds its luts / plane / offset phase times into these
+        # slots; the group sums computed above count as offset work.
+        timings = native.Timings()
+        timings[2] = time.perf_counter_ns() - t0
+        y = native.run(self, x, group_sums, timings)
+        if y is not None:
+            tel.profile.update({key: (count, timings[slot] / 1e9, nbytes)
+                                for slot, key, count, nbytes
+                                in self._native_rollups(x.shape[1])})
+        return y
+
+    def execute_numpy(self, x: np.ndarray,
+                      acc_dtype: np.dtype) -> np.ndarray:
+        """Run the instruction list with NumPy: ``y`` for 2-D float64 ``x``.
+
+        The fallback behind :meth:`execute` and the native executor's
+        oracle; profiling rollups are keyed ``program.<tier>.<op>``.
+        """
+        batch = x.shape[1]
         y = np.zeros((self.m, batch), dtype=np.float64)
 
         # Opt-in per-instruction profiling: when off (the default) the loop
@@ -349,11 +415,7 @@ class CompiledProgram:
                 # contract is allclose rather than bitwise.
                 y = self.dense @ x  # repro: noqa reassociating-reduction
             else:  # "offset"
-                start, stop = self.offset_slices[op[1]]
-                # Same reduction call as _add_offset_terms: the one shared
-                # group-sum op of all three executors.
-                group_sum = x[start:stop, :].sum(axis=0, keepdims=True)  # repro: noqa reassociating-reduction
-                y += self.offsets[:, op[1]][:, None] * group_sum
+                y += self.offsets[:, op[1]][:, None] * self._group_sum(x, op[1])
             if prof is not None:
                 # Chained stamps: one clock read per instruction (each op's
                 # end is the next one's start), not two.
@@ -376,11 +438,34 @@ class CompiledProgram:
                 {f"program.{self.tier}.{kind}": (e[0], e[1] / 1e9,
                                                  nbytes.get(kind, 0))
                  for kind, e in prof.items() if e[0]})
+        return y
 
-        stats = self.stats(batch)
-        if squeeze:
-            return y[:, 0], stats
-        return y, stats
+    def _native_rollups(self, batch: int) -> tuple[tuple, ...]:
+        """``(timing slot, key, count, bytes)`` per native kernel phase.
+
+        The kernel times ``luts``, ``plane`` (gather + α scale) and
+        ``offset``; bytes fold the NumPy instructions' accounting the same
+        way.  Phases the program does not run are left out.  Cached per
+        batch next to :meth:`_profile_bytes`.
+        """
+        cache = getattr(self, "_native_rollups_cache", None)
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_native_rollups_cache", cache)
+        rollups = cache.get(batch)
+        if rollups is None:
+            nbytes = self._profile_bytes(batch, 8)
+            planes = len(self.passes) if self.num_slots else 0
+            phases = (
+                ("luts", int(planes > 0), nbytes.get("luts", 0)),
+                ("plane", planes, nbytes.get("plane", 0)
+                 + nbytes.get("plane_block", 0) + nbytes.get("scale", 0)),
+                ("offset", len(self.offset_slices), nbytes.get("offset", 0)),
+            )
+            rollups = cache[batch] = tuple(
+                (slot, f"program.native.{op}", count, b)
+                for slot, (op, count, b) in enumerate(phases) if count)
+        return rollups
 
     def _profile_bytes(self, batch: int, acc_itemsize: int) -> dict[str, int]:
         """Per-opcode bytes-touched totals for one full program run, cached.

@@ -44,15 +44,16 @@ class Profile:
     def update(self, rollups: dict[str, tuple[int, float, int]]) -> None:
         """Merge locally accumulated (count, seconds, bytes) triples under
         one lock acquisition — the hot-loop exit path."""
+        ops = self._ops
         with self._lock:
             for op, (count, seconds, nbytes) in rollups.items():
-                entry = self._ops.get(op)
+                entry = ops.get(op)
                 if entry is None:
-                    entry = [0, 0.0, 0]
-                    self._ops[op] = entry
-                entry[0] += count
-                entry[1] += seconds
-                entry[2] += nbytes
+                    ops[op] = [count, float(seconds), nbytes]
+                else:
+                    entry[0] += count
+                    entry[1] += seconds
+                    entry[2] += nbytes
 
     def snapshot(self) -> dict[str, dict]:
         """op → {count, seconds, bytes}, sorted by op name."""

@@ -154,12 +154,22 @@ class TraceRecorder:
 
     def _record(self, name: str, start_ns: int, end_ns: int,
                 args: dict) -> SpanEvent:
-        ident, tname = self._thread()
+        # Hot path (one call per span): the thread-name lookup is inlined
+        # and all-scalar args — nearly every span — skip the coercion copy.
+        ident = threading.get_ident()
+        tname = self._thread_names.get(ident)
+        if tname is None:
+            ident, tname = self._thread()
+        for v in args.values():
+            if type(v) not in _SCALARS:
+                args = _sanitize(args)
+                break
         event = SpanEvent(name, "X", int(start_ns),
                           max(int(end_ns) - int(start_ns), 0),
-                          ident, tname, _sanitize(args))
-        with self._lock:
-            self._events.append(event)
+                          ident, tname, args)
+        # deque.append is atomic under the GIL, and the readers below copy
+        # the deque in one C-level pass, so appends need no lock.
+        self._events.append(event)
         return event
 
     def instant(self, name: str, **args) -> SpanEvent:
@@ -167,8 +177,7 @@ class TraceRecorder:
         ident, tname = self._thread()
         event = SpanEvent(name, "i", time.perf_counter_ns(), 0,
                           ident, tname, _sanitize(args))
-        with self._lock:
-            self._events.append(event)
+        self._events.append(event)
         return event
 
     def events(self) -> list[SpanEvent]:

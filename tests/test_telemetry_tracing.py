@@ -1,6 +1,7 @@
 """Trace recorder: spans, ring buffer, Chrome trace_event export."""
 
 import json
+import sys
 import threading
 import time
 
@@ -49,6 +50,50 @@ class TestTraceRecorder:
         events = rec.events()
         assert len(events) == 8
         assert [e.args["i"] for e in events] == list(range(12, 20))
+
+    def test_concurrent_records_and_reads_lose_nothing(self):
+        """Appends take no lock: writers racing a reader that copies the
+        buffer must neither lose an event nor break the copy."""
+        rec = TraceRecorder()
+        writers, per_writer = 4, 2000
+        start = threading.Barrier(writers + 1)
+        done = threading.Event()
+        errors = []
+
+        def write(w):
+            start.wait(timeout=30)
+            for i in range(per_writer):
+                rec.record("e", i, i + 1, w=w, i=i)
+
+        def read():
+            start.wait(timeout=30)
+            while not done.is_set():
+                try:
+                    rec.events()
+                    len(rec)
+                except RuntimeError as exc:  # "deque mutated during iteration"
+                    errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=write, args=(w,))
+                       for w in range(writers)]
+            reader = threading.Thread(target=read)
+            for t in [*threads, reader]:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            done.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [*threads, reader])
+        assert errors == []
+        events = rec.events()
+        assert len(events) == writers * per_writer
+        assert {(e.args["w"], e.args["i"]) for e in events} == {
+            (w, i) for w in range(writers) for i in range(per_writer)}
 
     def test_numpy_args_are_json_safe(self):
         rec = TraceRecorder()
